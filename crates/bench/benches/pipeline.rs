@@ -1,22 +1,19 @@
-//! PERF — the streaming sweep pipeline vs the chunked schedule.
+//! PERF — the streaming sweep pipeline.
 //!
 //! Measures the packet-based generator→simulate→reduce engine
-//! (`cloudlb_core::pipeline_stream`) on four arms and writes
+//! (`cloudlb_core::pipeline_stream`) at its default window
+//! (`PipelineConfig::new(jobs)`) on two arms and writes
 //! `BENCH_pipeline.json`:
 //!
 //! 1. the real Jacobi2D/Wave2D/Mol3D cell matrix through
 //!    `evaluate_cells_stream` (events/s, cells/s, pool utilization,
 //!    reorder and live-results high-water marks);
-//! 2. a packet-identical `par_map`-vs-`pipeline_map` A/B over real runs,
-//!    **failing (exit 1)** if the results are not bit-identical or the
-//!    pipeline falls below 0.9× `par_map` on uniform work;
-//! 3. a skewed profile — one Mol3D-heavy straggler per 16 uniform cells —
-//!    with measured per-packet costs replayed as timed waits, **failing**
-//!    if the pipeline does not beat the chunked barrier schedule by
-//!    ≥ 1.3× (the same profile over real runs is recorded alongside,
-//!    informational);
-//! 4. a 20k-packet flood, **failing** if the peak live-results count ever
-//!    exceeds `jobs + reorder window`.
+//! 2. a 20k-packet flood.
+//!
+//! Either arm **fails (exit 1)** if its peak live-results count ever
+//! exceeds the window. Bit-identity to serial runs is the job of
+//! `tests/parallel_sweep.rs`, and the straggler schedule is pinned by the
+//! unit tests in `crates/core/src/pipeline.rs`.
 //!
 //! With `CLOUDLB_CHECK=<path to baseline json>` the uniform-arm events/s
 //! is additionally gated against a checked-in baseline (exit non-zero on

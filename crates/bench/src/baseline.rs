@@ -131,37 +131,26 @@ pub struct ScaleRecord {
     pub budget_s: Option<f64>,
 }
 
-/// One streaming-pipeline bench run (`BENCH_pipeline.json`): the
-/// packet-based sweep engine measured against the chunked `par_map`
-/// substrate it replaced, plus the memory-bound evidence the engine
-/// exists to provide.
+/// One streaming-pipeline bench run (`BENCH_pipeline.json`): throughput
+/// of the sweep engine plus the memory-bound evidence it exists to
+/// provide, both at the engine's default window.
 ///
-/// Four arms:
-/// 1. **uniform** — the real Jacobi2D cell matrix through
+/// Two arms:
+/// 1. **uniform** — the real Jacobi2D/Wave2D/Mol3D cell matrix through
 ///    [`cloudlb_core::evaluate_cells_stream`] (throughput, utilization,
-///    reorder/live high-water marks) plus a packet-identical
-///    `par_map`-vs-`pipeline_map` A/B over real runs, gated on
-///    bit-identical results and on the pipeline staying within noise of
-///    `par_map`;
-/// 2. **skew replay** — one Mol3D-heavy straggler per 16 uniform cells;
-///    per-packet costs are *measured* on real runs, then replayed as
-///    timed waits so the arm benchmarks the scheduler (chunked barrier
-///    vs streaming work-stealing) rather than the host's core count.
-///    Gated at ≥ 1.3× over the chunked schedule;
-/// 3. **skew real** — the same skewed profile over real simulator runs,
-///    informational: on a single-core host both schedules serialize to
-///    total work and the ratio sits at 1.0 (capacity-bound), while
-///    multi-core hosts reproduce the replay arm's gap;
-/// 4. **flood** — tens of thousands of trivial packets, gated on the
-///    peak live-results count never exceeding `jobs + reorder window`.
+///    reorder/live high-water marks);
+/// 2. **flood** — tens of thousands of trivial packets.
+///
+/// Both arms are gated on the peak live-results count never exceeding
+/// [`cloudlb_core::PipelineConfig::window`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineRecord {
     /// Record name; the file is `BENCH_pipeline.json`.
     pub name: String,
     /// Whether `CLOUDLB_FAST` shrank the matrix.
     pub fast: bool,
-    /// Worker count the pipeline ran with (clamped to ≥ 4: below that
-    /// the scheduling comparison is vacuous).
+    /// Worker count the pipeline ran with (clamped to ≥ 4, the worker
+    /// count the checked-in baseline was recorded at).
     pub jobs: usize,
     /// Seeds in the uniform cell matrix.
     pub seeds: Vec<u64>,
@@ -183,56 +172,13 @@ pub struct PipelineRecord {
     pub reorder_peak: usize,
     /// Peak simultaneously-live results of the uniform arm.
     pub live_peak: usize,
-    /// The memory bound: `jobs + reorder window`. Every arm's
-    /// `live_peak` is gated ≤ this.
+    /// The memory bound: [`cloudlb_core::PipelineConfig::window`] at
+    /// `jobs`. Every arm's `live_peak` is gated ≤ this.
     pub live_bound: usize,
     /// Packets claimed straight from the injector (uniform arm).
     pub injector_claims: u64,
     /// Packets stolen from sibling workers (uniform arm).
     pub steals: u64,
-    /// Real runs in the `par_map`-vs-`pipeline_map` A/B.
-    pub uniform_runs: usize,
-    /// Best-of-2 wall-clock of `par_map` over those runs, seconds.
-    pub uniform_par_map_wall_s: f64,
-    /// Best-of-2 wall-clock of `pipeline_map` over the same runs.
-    pub uniform_pipeline_wall_s: f64,
-    /// `par_map / pipeline` wall ratio (≥ 1 = pipeline at least
-    /// matches). Gated ≥ 0.9 (within noise); typically ≥ 1.0.
-    pub uniform_ratio: f64,
-    /// The two A/B arms produced bit-identical `RunResult`s (a record
-    /// that exists always says true — a mismatch fails the bench).
-    pub uniform_identical: bool,
-    /// Measured wall of one uniform Jacobi2D run, milliseconds.
-    pub uniform_run_ms: f64,
-    /// Iterations of the Mol3D straggler (20× the uniform count).
-    pub straggler_iterations: usize,
-    /// Measured wall of one straggler Mol3D run, milliseconds.
-    pub straggler_run_ms: f64,
-    /// `straggler_run_ms / uniform_run_ms` (measured; ≈ 20 on this
-    /// profile).
-    pub straggler_cost_ratio: f64,
-    /// Straggler groups (16 uniform + 1 straggler each) in the skew arms.
-    pub skew_groups: usize,
-    /// Per-packet uniform replay duration, milliseconds.
-    pub skew_replay_ms: f64,
-    /// Replay wall under the chunked barrier schedule, seconds.
-    pub skew_chunked_wall_s: f64,
-    /// Replay wall through the streaming pipeline, seconds.
-    pub skew_pipeline_wall_s: f64,
-    /// `chunked / pipeline` replay ratio — gated ≥ 1.3.
-    pub skew_ratio: f64,
-    /// Replay wall under unchunked `par_map` (informational: dynamic
-    /// claiming already dodges the straggler, at O(n) memory).
-    pub skew_unchunked_wall_s: f64,
-    /// `unchunked / pipeline` replay ratio (informational).
-    pub skew_unchunked_ratio: f64,
-    /// Real-run skew wall under the chunked schedule, seconds.
-    pub skew_real_chunked_wall_s: f64,
-    /// Real-run skew wall through the pipeline, seconds.
-    pub skew_real_pipeline_wall_s: f64,
-    /// `chunked / pipeline` over real runs — informational
-    /// (capacity-bound at 1.0 on single-core hosts).
-    pub skew_real_ratio: f64,
     /// Trivial packets pushed through the flood arm.
     pub flood_packets: usize,
     /// Peak live results during the flood — gated ≤ `live_bound`.
@@ -437,25 +383,6 @@ mod tests {
             live_bound: 20,
             injector_claims: 12,
             steals: 3,
-            uniform_runs: 32,
-            uniform_par_map_wall_s: 0.21,
-            uniform_pipeline_wall_s: 0.20,
-            uniform_ratio: 1.05,
-            uniform_identical: true,
-            uniform_run_ms: 6.0,
-            straggler_iterations: 180,
-            straggler_run_ms: 60.0,
-            straggler_cost_ratio: 10.0,
-            skew_groups: 4,
-            skew_replay_ms: 6.0,
-            skew_chunked_wall_s: 0.34,
-            skew_pipeline_wall_s: 0.16,
-            skew_ratio: 2.1,
-            skew_unchunked_wall_s: 0.17,
-            skew_unchunked_ratio: 1.06,
-            skew_real_chunked_wall_s: 0.3,
-            skew_real_pipeline_wall_s: 0.3,
-            skew_real_ratio: 1.0,
             flood_packets: 20_000,
             flood_live_peak: 20,
             flood_reorder_peak: 16,

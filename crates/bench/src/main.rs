@@ -17,8 +17,8 @@
 //! baseline (`BENCH_scale.json`), with the same dual-destination write
 //! and the same hard gates as the `scale` bench target. The `pipeline`
 //! subcommand does the same for the streaming sweep-engine baseline
-//! (`BENCH_pipeline.json`), including the bit-identity, skew-ratio and
-//! live-results-bound gates of the `pipeline` bench target.
+//! (`BENCH_pipeline.json`), including the live-results-bound gates of
+//! the `pipeline` bench target.
 //!
 //! The usual knobs apply: `CLOUDLB_FAST`, `CLOUDLB_SEEDS`,
 //! `CLOUDLB_JOBS`, `CLOUDLB_SCALE_BUDGET_S` (see the crate docs).

@@ -6,11 +6,11 @@ use crate::Settings;
 use cloudlb_apps::grids::{near_square_factors, Block2D};
 use cloudlb_apps::Jacobi2D;
 use cloudlb_core::{
-    evaluate_cells, evaluate_cells_stream, par_map, pipeline_map, pipeline_stream,
-    run_scenario, CellSpec, PipelineConfig, Scenario,
+    evaluate_cells, evaluate_cells_stream, par_map, pipeline_stream, run_scenario, CellSpec,
+    PipelineConfig, Scenario,
 };
 use cloudlb_runtime::{FastForward, RunResult, SimExecutor};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The paper-sweep throughput baseline (`BENCH_fast.json` /
 /// `BENCH_sweep.json`): the full Fig. 2 / Fig. 4 matrix through the
@@ -250,88 +250,20 @@ pub fn fastforward_sweep(s: &Settings) -> Result<SweepRecord, String> {
     })
 }
 
-/// Packets per straggler group in the skew arms: 16 uniform cells plus
-/// one Mol3D-heavy straggler, matching the pipeline bench's contract.
-const SKEW_GROUP: usize = 17;
-
-/// Time a closure, returning its result and wall-clock seconds.
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed().as_secs_f64())
-}
-
-/// Best wall-clock of `n` runs (later runs see warm caches; taking the
-/// min of both sides of an A/B damps scheduler noise symmetrically).
-fn best_of(n: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..n).map(|_| f()).fold(f64::INFINITY, f64::min)
-}
-
-/// Median wall-clock of three timings of `f` — the calibration runs are
-/// single-digit milliseconds, where one preemption can double a sample.
-fn median_of_3(mut f: impl FnMut() -> f64) -> f64 {
-    let mut w = [f(), f(), f()];
-    w.sort_by(f64::total_cmp);
-    w[1]
-}
-
-/// The chunked-barrier schedule the pipeline replaced: process packets
-/// `SKEW_GROUP` at a time through `par_map`, joining the pool between
-/// chunks. Memory-bounded like the pipeline (≤ one chunk of results
-/// resident), but every straggler parks the whole pool at its barrier.
-fn chunked_par_map<T: Send + Clone, R: Send>(
-    jobs: usize,
-    items: &[T],
-    f: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in items.chunks(SKEW_GROUP) {
-        out.extend(par_map(jobs, chunk.to_vec(), &f));
-    }
-    out
-}
-
-/// One uniform (Jacobi2D) run of the skew profile.
-fn skew_uniform_scenario(s: &Settings, seed: u64) -> Scenario {
-    let mut scn = Scenario::paper("jacobi2d", 4, "cloudrefine");
-    scn.iterations = s.iterations;
-    scn.seed = seed;
-    scn
-}
-
-/// The Mol3D-heavy straggler of the skew profile.
-fn skew_straggler_scenario(iterations: usize, seed: u64) -> Scenario {
-    let mut scn = Scenario::paper("mol3d", 4, "cloudrefine");
-    scn.iterations = iterations;
-    scn.seed = seed;
-    scn
-}
-
 /// The streaming-pipeline bench behind `BENCH_pipeline.json`: throughput,
-/// utilization and memory-bound telemetry for the packet-based sweep
-/// engine, gated against the chunked `par_map` schedule it replaced.
-/// `Err` carries the first failed gate — callers exit non-zero on it.
-///
-/// The skew gate (≥ 1.3× over the chunked barrier on a one-straggler-in-
-/// seventeen profile) is measured on a *replay* arm: per-packet costs are
-/// calibrated on real Jacobi2D/Mol3D runs, then re-executed as timed
-/// waits. Timed waits overlap on any host, so the arm measures the two
-/// schedules rather than the machine's core count; the same profile over
-/// real runs is recorded alongside (`skew_real_*`, informational — a
-/// single-core host serializes both schedules to total work and its real
-/// ratio sits at 1.0 by conservation of compute).
+/// utilization and memory-bound telemetry for the sweep engine at its
+/// default window ([`PipelineConfig::new`]). `Err` carries the first
+/// failed gate — callers exit non-zero on it.
 pub fn pipeline_sweep(s: &Settings) -> Result<PipelineRecord, String> {
-    // Below 4 workers the scheduling comparison is vacuous (and at 1 the
-    // pipeline legitimately short-circuits to a serial loop), so the
-    // bench floors the pool size. Timed-wait packets keep the replay arm
-    // meaningful even when the host has fewer cores than workers.
+    // The checked-in baseline was recorded at 4 workers, and at 1 the
+    // pipeline short-circuits to a serial loop where the live-results
+    // gate is vacuous, so the bench floors the pool size.
     let jobs = s.jobs.max(4);
-    let cfg = PipelineConfig { jobs, reorder_window: 16 };
+    let cfg = PipelineConfig::new(jobs);
     let live_bound = cfg.window();
     println!(
-        "(jobs {jobs}, reorder window {}, live bound {live_bound}, \
-         {} iterations, seeds {:?})",
-        cfg.reorder_window, s.iterations, s.seeds
+        "(jobs {jobs}, live bound {live_bound}, {} iterations, seeds {:?})",
+        s.iterations, s.seeds
     );
 
     // --- Uniform arm: the real cell matrix through the streaming engine.
@@ -367,136 +299,6 @@ pub fn pipeline_sweep(s: &Settings) -> Result<PipelineRecord, String> {
             stats.live_peak, live_bound
         ));
     }
-
-    // --- Uniform A/B: identical real packets through both substrates.
-    let uniform_runs = if s.fast { 32 } else { 64 };
-    let ab: Vec<Scenario> =
-        (0..uniform_runs).map(|i| skew_uniform_scenario(s, 1 + i as u64)).collect();
-    // Reps alternate par_map / pipeline so drifting background load hits
-    // both sides of the A/B symmetrically; each side keeps its best rep.
-    // 5 reps: the gated ratio sits near 1.0 by design, so a single noisy
-    // rep on one side must not be able to drag the min under the gate.
-    let mut par_results = Vec::new();
-    let mut pipe_results = Vec::new();
-    let mut uniform_par_map_wall_s = f64::INFINITY;
-    let mut uniform_pipeline_wall_s = f64::INFINITY;
-    for _ in 0..5 {
-        let (r, w) = timed(|| par_map(jobs, ab.clone(), |scn| run_scenario(&scn)));
-        par_results = r;
-        uniform_par_map_wall_s = uniform_par_map_wall_s.min(w);
-        let ((r, _), w) = timed(|| pipeline_map(&cfg, ab.clone(), |scn| run_scenario(&scn)));
-        pipe_results = r;
-        uniform_pipeline_wall_s = uniform_pipeline_wall_s.min(w);
-    }
-    if par_results != pipe_results {
-        return Err(
-            "uniform A/B: pipeline_map results diverged from par_map on \
-             identical packets"
-                .to_string(),
-        );
-    }
-    let uniform_ratio = uniform_par_map_wall_s / uniform_pipeline_wall_s;
-    println!(
-        "uniform A/B: {uniform_runs} runs — par_map {uniform_par_map_wall_s:.3}s, \
-         pipeline {uniform_pipeline_wall_s:.3}s, ratio {uniform_ratio:.2}x \
-         (bit-identical results)"
-    );
-    if uniform_ratio < 0.9 {
-        return Err(format!(
-            "uniform A/B: pipeline is {uniform_ratio:.2}x of par_map on uniform \
-             packets (allowed ≥ 0.9x)"
-        ));
-    }
-
-    // --- Calibration: measure the skew profile's per-packet costs. The
-    // straggler runs Mol3D for 20× the uniform iteration count — a fixed,
-    // deterministic profile whose measured cost ratio (recorded below)
-    // lands around 20× on this workload. Inferring an iteration count
-    // from a short probe instead is unstable: Mol3D's setup cost
-    // dominates short runs and skews any per-iteration estimate.
-    run_scenario(&skew_uniform_scenario(s, 1)); // warm-up
-    let u_s = median_of_3(|| timed(|| run_scenario(&skew_uniform_scenario(s, 1))).1);
-    let straggler_iterations = 20 * s.iterations;
-    let straggler_s = median_of_3(|| {
-        timed(|| run_scenario(&skew_straggler_scenario(straggler_iterations, 1))).1
-    });
-    let uniform_run_ms = u_s * 1e3;
-    let straggler_run_ms = straggler_s * 1e3;
-    let straggler_cost_ratio = straggler_s / u_s;
-    println!(
-        "calibration: uniform run {uniform_run_ms:.1}ms, straggler \
-         ({straggler_iterations} Mol3D iters) {straggler_run_ms:.1}ms — \
-         {straggler_cost_ratio:.1}x"
-    );
-
-    // --- Skew replay arm (gated): measured costs as timed waits.
-    // Replay durations are the measured ones, floored so OS sleep
-    // granularity stays small relative to the packet and capped so the
-    // arm stays a smoke-sized bench.
-    let skew_replay_ms = uniform_run_ms.clamp(5.0, 25.0);
-    let straggler_replay_ms = skew_replay_ms * straggler_cost_ratio;
-    let skew_groups = if s.fast { 4 } else { 6 };
-    let mut replay_packets: Vec<f64> = Vec::new();
-    for _ in 0..skew_groups {
-        replay_packets.extend(vec![skew_replay_ms; SKEW_GROUP - 1]);
-        replay_packets.push(straggler_replay_ms);
-    }
-    let replay = |ms: f64| std::thread::sleep(Duration::from_secs_f64(ms / 1e3));
-    // Interleave the three schedules rep by rep (min of 3 each) so a
-    // transient host stall lands on all of them symmetrically instead of
-    // flaking the gated ratio.
-    let (mut skew_chunked_wall_s, mut skew_pipeline_wall_s, mut skew_unchunked_wall_s) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        skew_chunked_wall_s = skew_chunked_wall_s
-            .min(timed(|| chunked_par_map(jobs, &replay_packets, replay)).1);
-        skew_pipeline_wall_s = skew_pipeline_wall_s
-            .min(timed(|| pipeline_map(&cfg, replay_packets.clone(), replay)).1);
-        skew_unchunked_wall_s =
-            skew_unchunked_wall_s.min(timed(|| par_map(jobs, replay_packets.clone(), replay)).1);
-    }
-    let skew_ratio = skew_chunked_wall_s / skew_pipeline_wall_s;
-    let skew_unchunked_ratio = skew_unchunked_wall_s / skew_pipeline_wall_s;
-    println!(
-        "skew replay: {} packets ({} groups of {SKEW_GROUP}) — chunked \
-         {skew_chunked_wall_s:.2}s, pipeline {skew_pipeline_wall_s:.2}s \
-         ({skew_ratio:.2}x), unchunked par_map {skew_unchunked_wall_s:.2}s \
-         ({skew_unchunked_ratio:.2}x, informational)",
-        replay_packets.len(),
-        skew_groups
-    );
-    if skew_ratio < 1.3 {
-        return Err(format!(
-            "skew gate: pipeline is only {skew_ratio:.2}x over the chunked \
-             schedule on the straggler replay (needs ≥ 1.3x)"
-        ));
-    }
-
-    // --- Skew real arm (informational): the same profile, real runs.
-    let real_groups = 2usize;
-    let real_packets: Vec<Scenario> = (0..real_groups)
-        .flat_map(|g| {
-            (0..SKEW_GROUP - 1)
-                .map(move |i| skew_uniform_scenario(s, 1 + (g * SKEW_GROUP + i) as u64))
-                .chain(std::iter::once(skew_straggler_scenario(
-                    straggler_iterations,
-                    1 + g as u64,
-                )))
-        })
-        .collect();
-    let skew_real_chunked_wall_s = best_of(3, || {
-        timed(|| chunked_par_map(jobs, &real_packets, |scn| run_scenario(&scn))).1
-    });
-    let skew_real_pipeline_wall_s = best_of(3, || {
-        timed(|| pipeline_map(&cfg, real_packets.clone(), |scn| run_scenario(&scn))).1
-    });
-    let skew_real_ratio = skew_real_chunked_wall_s / skew_real_pipeline_wall_s;
-    println!(
-        "skew real: {} runs — chunked {skew_real_chunked_wall_s:.2}s, pipeline \
-         {skew_real_pipeline_wall_s:.2}s ({skew_real_ratio:.2}x; informational, \
-         capacity-bound on hosts with fewer cores than workers)",
-        real_packets.len()
-    );
 
     // --- Flood arm: the memory bound under tens of thousands of packets.
     let flood_packets = 20_000usize;
@@ -538,25 +340,6 @@ pub fn pipeline_sweep(s: &Settings) -> Result<PipelineRecord, String> {
         live_bound,
         injector_claims: stats.injector_claims,
         steals: stats.steals,
-        uniform_runs,
-        uniform_par_map_wall_s,
-        uniform_pipeline_wall_s,
-        uniform_ratio,
-        uniform_identical: true,
-        uniform_run_ms,
-        straggler_iterations,
-        straggler_run_ms,
-        straggler_cost_ratio,
-        skew_groups,
-        skew_replay_ms,
-        skew_chunked_wall_s,
-        skew_pipeline_wall_s,
-        skew_ratio,
-        skew_unchunked_wall_s,
-        skew_unchunked_ratio,
-        skew_real_chunked_wall_s,
-        skew_real_pipeline_wall_s,
-        skew_real_ratio,
         flood_packets,
         flood_live_peak: flood_stats.live_peak,
         flood_reorder_peak: flood_stats.reorder_peak,

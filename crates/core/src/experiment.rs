@@ -20,11 +20,10 @@
 //! exactly the serial code's fold, so averaged [`EvalPoint`]s are
 //! bit-identical for any worker count (see `tests/parallel_sweep.rs`
 //! and `tests/pipeline_stream.rs`); [`evaluate_cells_stream`] exposes
-//! the same sweep with O(jobs + reorder window) peak live runs for
-//! studies too large to materialize.
+//! the same sweep with O(jobs) peak live runs for studies too large to
+//! materialize.
 
-use crate::parallel::default_jobs;
-use crate::pipeline::{pipeline_stream, PipelineConfig, PipelineStats};
+use crate::pipeline::{default_jobs, pipeline_stream, PipelineConfig, PipelineStats};
 use crate::scenario::Scenario;
 use cloudlb_runtime::{FastForward, RunResult, RuntimeError, SimExecutor};
 use cloudlb_sim::stats::mean;
@@ -338,7 +337,7 @@ impl CellSpec {
 /// fanned out over `jobs` work-stealing workers, and finished runs are
 /// folded per cell in seed order as they stream back. This is the
 /// `collect_all` path — it materializes one [`EvalPoint`] per cell (but
-/// never more than O(jobs + reorder window) `RunResult`s). Bit-identical
+/// never more than [`PipelineConfig::window`] `RunResult`s). Bit-identical
 /// to running [`evaluate`] serially per cell, for any `jobs`.
 pub fn evaluate_cells(cells: &[CellSpec], seeds: &[u64], jobs: usize) -> Vec<EvalPoint> {
     let mut out = Vec::with_capacity(cells.len());
@@ -349,7 +348,7 @@ pub fn evaluate_cells(cells: &[CellSpec], seeds: &[u64], jobs: usize) -> Vec<Eva
 /// The memory-bounded sweep driver: stream every `(cell, seed, arm)` run
 /// through the pipeline and hand each finished cell's [`EvalPoint`] to
 /// `consume(cell_index, point)` **in cell order**. Scenarios are
-/// generated lazily and at most `jobs + reorder_window` runs are alive
+/// generated lazily and at most [`PipelineConfig::window`] runs are alive
 /// at once, so arbitrarily large cell lists sweep at flat memory — the
 /// consumer decides what to keep (e.g. fold into a
 /// [`crate::stream_agg::StreamSummary`]).
@@ -505,8 +504,8 @@ impl CellReducer {
 /// `lb_strategy` is the balanced arm's registry name (the paper's scheme
 /// is `cloudrefine`; ablations swap in others). `iterations` scales run
 /// length (the figures use 100). Runs are spread across
-/// [`crate::parallel::default_jobs`] workers (`CLOUDLB_JOBS` / `--jobs`);
-/// the result is bit-identical for any worker count.
+/// [`default_jobs`] workers (`CLOUDLB_JOBS` / `--jobs`); the result is
+/// bit-identical for any worker count.
 pub fn evaluate(
     app: &str,
     cores: usize,
@@ -514,20 +513,8 @@ pub fn evaluate(
     lb_strategy: &str,
     seeds: &[u64],
 ) -> EvalPoint {
-    evaluate_jobs(app, cores, iterations, lb_strategy, seeds, default_jobs())
-}
-
-/// [`evaluate`] with an explicit worker count.
-pub fn evaluate_jobs(
-    app: &str,
-    cores: usize,
-    iterations: usize,
-    lb_strategy: &str,
-    seeds: &[u64],
-    jobs: usize,
-) -> EvalPoint {
     let cell = CellSpec::paper(app, cores, iterations, lb_strategy);
-    evaluate_cells(std::slice::from_ref(&cell), seeds, jobs)
+    evaluate_cells(std::slice::from_ref(&cell), seeds, default_jobs())
         .pop()
         .expect("one cell in, one point out")
 }

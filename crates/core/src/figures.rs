@@ -88,7 +88,7 @@ pub fn fig1(iterations: usize) -> Fig1Output {
 
 /// Run the Fig. 2 / Fig. 4 matrix for one application over the given core
 /// counts. All `(cores, arm, seed)` runs of the matrix are flattened into
-/// one fan-out over [`crate::parallel::default_jobs`] workers, so a wide
+/// one fan-out over [`crate::pipeline::default_jobs`] workers, so a wide
 /// matrix saturates the pool rather than parallelizing cell by cell.
 pub fn eval_matrix(
     app: &str,
@@ -96,22 +96,11 @@ pub fn eval_matrix(
     iterations: usize,
     seeds: &[u64],
 ) -> Vec<EvalPoint> {
-    eval_matrix_jobs(app, cores, iterations, seeds, crate::parallel::default_jobs())
-}
-
-/// [`eval_matrix`] with an explicit worker count.
-pub fn eval_matrix_jobs(
-    app: &str,
-    cores: &[usize],
-    iterations: usize,
-    seeds: &[u64],
-    jobs: usize,
-) -> Vec<EvalPoint> {
     let cells: Vec<CellSpec> = cores
         .iter()
         .map(|&c| CellSpec::paper(app, c, iterations, "cloudrefine"))
         .collect();
-    crate::experiment::evaluate_cells(&cells, seeds, jobs)
+    crate::experiment::evaluate_cells(&cells, seeds, crate::pipeline::default_jobs())
 }
 
 /// Online aggregate over a matrix's [`EvalPoint`]s: one
@@ -167,12 +156,12 @@ impl MatrixSummary {
     }
 }
 
-/// Memory-bounded variant of [`eval_matrix_jobs`]: stream the matrix
+/// Memory-bounded variant of [`eval_matrix`]: stream the matrix
 /// through the pipeline, fold every emitted [`EvalPoint`] into a
 /// [`MatrixSummary`], and pass each point to `consume` (e.g. to print a
 /// table row incrementally) instead of materializing the matrix. Points
 /// arrive in core-count order and are bit-identical to
-/// [`eval_matrix_jobs`]'s for any worker count.
+/// [`eval_matrix`]'s for any worker count.
 pub fn eval_matrix_stream<C>(
     app: &str,
     cores: &[usize],

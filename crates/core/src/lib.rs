@@ -10,27 +10,25 @@
 //!   averages seeds, and computes the paper's metrics: timing penalty,
 //!   background-job penalty, average node power, normalized energy
 //!   overhead;
-//! * [`parallel`] — the deterministic work pool that fans independent
+//! * [`pipeline`] — the sweep engine that streams independent
 //!   `(app, cores, arm, seed)` runs across `CLOUDLB_JOBS`/`--jobs`
-//!   workers with bit-identical results;
+//!   workers with bit-identical results and bounded memory;
 //! * [`figures`] — one driver per paper artifact (Figures 1–4) returning
 //!   structured series plus rendered tables/timelines;
 //! * [`report`] — markdown/CSV table formatting shared by the harness.
 
 pub mod experiment;
 pub mod figures;
-pub mod parallel;
 pub mod pipeline;
 pub mod report;
 pub mod scenario;
 pub mod stream_agg;
 
 pub use experiment::{
-    elasticity_impact, evaluate, evaluate_cells, evaluate_cells_stream, evaluate_jobs,
-    failure_impact, network_impact, run_scenario, try_run_scenario, CellSpec,
-    ElasticityImpact, EvalPoint, FailureImpact, NetworkImpact,
+    elasticity_impact, evaluate, evaluate_cells, evaluate_cells_stream, failure_impact,
+    network_impact, run_scenario, try_run_scenario, CellSpec, ElasticityImpact, EvalPoint,
+    FailureImpact, NetworkImpact,
 };
-pub use parallel::{default_jobs, par_map};
-pub use pipeline::{pipeline_map, pipeline_stream, PipelineConfig, PipelineStats};
+pub use pipeline::{default_jobs, par_map, pipeline_stream, PipelineConfig, PipelineStats};
 pub use scenario::{BgPattern, FailSpec, Scenario};
 pub use stream_agg::StreamSummary;

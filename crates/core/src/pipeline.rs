@@ -1,11 +1,12 @@
-//! Packet-based streaming sweep pipeline: generator → simulate → reduce.
+//! The sweep engine: a packet-based streaming pipeline, generator →
+//! simulate → reduce.
 //!
-//! [`par_map`](crate::parallel::par_map) fans a *materialized* `Vec` of
-//! jobs over worker threads and hands back a *materialized* `Vec` of
-//! results — fine for a figure matrix, hopeless for a million-cell
-//! parameter study where the Vec-of-everything is the memory bound. This
-//! module reworks the sweep substrate as a three-stage pipeline of
-//! sequence-numbered **packets**:
+//! The paper's figures come from a matrix of `(app, cores, arm, seed)`
+//! cells, every one an independent deterministic simulation. This module
+//! is the only code in the workspace that fans such runs across worker
+//! threads. Jobs flow through a three-stage pipeline of
+//! sequence-numbered **packets**, so a million-cell parameter study never
+//! materializes a `Vec` of every run:
 //!
 //! ```text
 //!  generator ──bounded injector──▶ simulate workers ──mpsc──▶ reducer
@@ -15,26 +16,33 @@
 //!
 //! * The **generator** drains a lazy iterator on its own thread and
 //!   pushes `(seq, item)` packets into a shared injector queue. It is
-//!   throttled by a credit counter: at most `window = jobs +
-//!   reorder_window` packets may be in flight (issued but not yet
-//!   consumed in submission order), which is what bounds every queue,
-//!   the reorder buffer, and the number of live results — O(workers +
-//!   reorder window) regardless of sweep size.
+//!   throttled by a credit counter: at most [`PipelineConfig::window`]
+//!   packets may be in flight (issued but not yet consumed in submission
+//!   order), which is what bounds every queue, the reorder buffer, and
+//!   the number of live results — O(workers) regardless of sweep size.
 //! * Each **simulate worker** owns a deque. It pops local work first,
 //!   claims half the injector when empty, and steals half a sibling's
 //!   deque when the injector is dry — so one slow Mol3D cell keeps
 //!   exactly one worker busy while its siblings drain the rest of the
-//!   sweep.
+//!   window.
 //! * The **reducer** runs on the calling thread. Results arrive over an
 //!   mpsc channel in completion order and are reassembled into strict
 //!   submission order through a small reorder buffer, so the consumer
 //!   callback observes exactly the serial fold — bit-identical results
-//!   for any worker count, the same guarantee `par_map` gives (see
-//!   `tests/parallel_sweep.rs` and `tests/pipeline_stream.rs`).
+//!   for any worker count (see `tests/parallel_sweep.rs` and
+//!   `tests/pipeline_stream.rs`).
 //!
+//! [`pipeline_stream`] is the streaming entry point; [`par_map`] collects
+//! its output into a `Vec` for callers that want every result at once.
 //! `jobs <= 1` short-circuits to a plain serial loop on the calling
 //! thread: generator, map and consumer run inline, byte-for-byte the
 //! serial path.
+//!
+//! The worker count comes from, in order of precedence:
+//!
+//! 1. an explicit `jobs` argument (the CLI's `--jobs`);
+//! 2. the `CLOUDLB_JOBS` environment variable;
+//! 3. [`std::thread::available_parallelism`] (see [`default_jobs`]).
 //!
 //! There are no external dependencies — everything is `std` scoped
 //! threads, mutexes and channels, like the rest of the workspace.
@@ -42,35 +50,67 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{mpsc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Shape of the pipeline: worker count plus the reorder slack that lets
-/// the pool run ahead of a slow packet.
+/// Resolve the worker count: `CLOUDLB_JOBS` if set (must be a positive
+/// integer), otherwise the machine's available parallelism.
+///
+/// The environment is read **once** and cached for the life of the
+/// process — CLIs that honour a `--jobs` flag set `CLOUDLB_JOBS` before
+/// the first call (see `src/main.rs`), and every later call sees the
+/// same answer. A value of `0` or garbage is rejected with a warning on
+/// stderr and falls back to the machine's parallelism instead of
+/// silently clamping (or panicking) deep inside a sweep.
+pub fn default_jobs() -> usize {
+    static JOBS: OnceLock<usize> = OnceLock::new();
+    *JOBS.get_or_init(|| {
+        let fallback = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        match std::env::var("CLOUDLB_JOBS") {
+            Ok(v) => match v.trim().parse::<usize>() {
+                Ok(jobs) if jobs >= 1 => jobs,
+                Ok(_) => {
+                    eprintln!(
+                        "warning: CLOUDLB_JOBS=0 is not a valid worker count; \
+                         using available parallelism instead"
+                    );
+                    fallback()
+                }
+                Err(_) => {
+                    eprintln!(
+                        "warning: CLOUDLB_JOBS={v:?} is not a positive integer; \
+                         using available parallelism instead"
+                    );
+                    fallback()
+                }
+            },
+            Err(_) => fallback(),
+        }
+    })
+}
+
+/// Shape of the pipeline: the worker count. The in-flight window follows
+/// from it (see [`PipelineConfig::window`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Simulate-stage worker threads.
     pub jobs: usize,
-    /// Extra in-flight packets beyond `jobs`. The reducer's reorder
-    /// buffer never holds more than `jobs + reorder_window` results, and
-    /// a straggler packet stalls the pool only once the pool has run
-    /// this far ahead of it.
-    pub reorder_window: usize,
 }
 
 impl PipelineConfig {
-    /// A pipeline with `jobs` workers and the default reorder slack
-    /// (`2 * jobs`, floor 8) — enough to ride over an occasional slow
-    /// cell without materially raising the memory bound.
+    /// A pipeline with `jobs` workers (floor 1).
     pub fn new(jobs: usize) -> Self {
-        let jobs = jobs.max(1);
-        PipelineConfig { jobs, reorder_window: (2 * jobs).max(8) }
+        PipelineConfig { jobs: jobs.max(1) }
     }
 
-    /// Total in-flight packet budget: `jobs + reorder_window`. This is
-    /// the hard bound on live (produced but not yet consumed) results.
+    /// Total in-flight packet budget: `jobs` plus a reorder slack of
+    /// `2 * jobs` (floor 8) — enough for the pool to run ahead of an
+    /// occasional slow cell without materially raising the memory bound.
+    /// This is the hard bound on live (produced but not yet consumed)
+    /// results, and a straggler packet stalls the pool only once the
+    /// pool has run this far ahead of it.
     pub fn window(&self) -> usize {
-        self.jobs + self.reorder_window
+        self.jobs + (2 * self.jobs).max(8)
     }
 }
 
@@ -180,8 +220,7 @@ struct Shared<T, R> {
 /// workers and hand every result to `consume` in **submission order**
 /// (`consume(0, r0)`, `consume(1, r1)`, …, with no gaps). At most
 /// [`PipelineConfig::window`] packets are in flight at any instant, so
-/// peak live results is O(jobs + reorder window) no matter how long the
-/// iterator runs.
+/// peak live results is O(jobs) no matter how long the iterator runs.
 ///
 /// A panic inside `f` tears the pipeline down and propagates to the
 /// caller; a panic inside `consume` likewise (in-flight packets are
@@ -493,34 +532,26 @@ impl<T, R> Drop for AbortOnUnwind<'_, T, R> {
     }
 }
 
-/// The collect-all compatibility path: stream `items` through the
-/// pipeline but materialize every result, in submission order — the
-/// exact `Vec` [`par_map`](crate::parallel::par_map) would return, plus
-/// the pipeline's stats. Exact-result tests and small sweeps use this;
-/// large sweeps should prefer [`pipeline_stream`] with an online
-/// consumer so peak memory stays O(window).
-pub fn pipeline_map<T, R, F>(
-    cfg: &PipelineConfig,
-    items: Vec<T>,
-    f: F,
-) -> (Vec<R>, PipelineStats)
+/// Apply `f` to every item on up to `jobs` workers (never more workers
+/// than items) and collect the results **in submission order** — the
+/// collect-all form of [`pipeline_stream`] for callers that want every
+/// result at once. A panic inside `f` propagates to the caller.
+pub fn par_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
+    let cfg = PipelineConfig::new(jobs.min(items.len()));
     let mut out = Vec::with_capacity(items.len());
-    let stats = pipeline_stream(cfg, items, f, |seq, r| {
-        debug_assert_eq!(seq, out.len(), "consumer must see submission order");
-        out.push(r);
-    });
-    (out, stats)
+    pipeline_stream(&cfg, items, f, |_, r| out.push(r));
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn cfg(jobs: usize) -> PipelineConfig {
         PipelineConfig::new(jobs)
@@ -528,36 +559,41 @@ mod tests {
 
     #[test]
     fn results_arrive_in_submission_order_for_any_worker_count() {
-        for jobs in [1, 2, 4, 8] {
-            let mut seen = Vec::new();
-            let stats = pipeline_stream(&cfg(jobs), 0..200usize, |i| i * 3, |seq, r| {
-                assert_eq!(r, seq * 3);
-                seen.push(r);
-            });
-            assert_eq!(seen, (0..200).map(|i| i * 3).collect::<Vec<_>>(), "jobs={jobs}");
-            assert_eq!(stats.packets, 200);
+        // 0 jobs clamps to serial; 64 jobs outnumber every input here.
+        for jobs in [0, 1, 2, 4, 8, 64] {
+            for n in [0usize, 2, 200] {
+                let mut seen = Vec::new();
+                let stats = pipeline_stream(&cfg(jobs), 0..n, |i| i * 3, |seq, r| {
+                    assert_eq!(r, seq * 3);
+                    seen.push(r);
+                });
+                let want: Vec<usize> = (0..n).map(|i| i * 3).collect();
+                assert_eq!(seen, want, "jobs={jobs} n={n}");
+                assert_eq!(stats.packets, n);
+            }
         }
     }
 
     #[test]
-    fn pipeline_map_matches_serial_map() {
-        let items: Vec<u64> = (0..123).collect();
-        let (out, stats) = pipeline_map(&cfg(4), items.clone(), |i| i * i);
-        assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(stats.packets, 123);
+    fn par_map_matches_serial_map() {
+        for (jobs, n) in [(0, 2u64), (4, 123), (64, 2)] {
+            let items: Vec<u64> = (0..n).collect();
+            let out = par_map(jobs, items.clone(), |i| i * i);
+            assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>(), "jobs={jobs}");
+        }
     }
 
     #[test]
     fn straggler_does_not_idle_the_pool_and_live_stays_bounded() {
         // One slow packet per 16 fast ones; the live-results bound must
         // hold even while the pool runs ahead of the straggler.
-        let c = PipelineConfig { jobs: 4, reorder_window: 16 };
+        let c = cfg(4);
         let stats = pipeline_stream(
             &c,
             0..170usize,
             |i| {
                 if i % 17 == 16 {
-                    std::thread::sleep(std::time::Duration::from_millis(3));
+                    std::thread::sleep(Duration::from_millis(3));
                 }
                 i
             },
@@ -571,6 +607,38 @@ mod tests {
             c.window()
         );
         assert!(stats.reorder_peak <= c.window());
+    }
+
+    #[test]
+    fn straggler_pins_one_worker_while_the_rest_fill_the_window() {
+        // Packet 0 blocks until every other packet the window admits has
+        // run, so the test passes only if the siblings run ahead of the
+        // straggler all the way to the window edge — and no further,
+        // since packet 0 still holds its credit.
+        let c = cfg(4);
+        let ahead = c.window() - 1;
+        let ran = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new(rx);
+        let stats = pipeline_stream(
+            &c,
+            0..3 * c.window(),
+            |i| {
+                if i == 0 {
+                    rx.lock()
+                        .expect("receiver poisoned")
+                        .recv_timeout(Duration::from_secs(10))
+                        .expect("no worker ran ahead of the straggler");
+                    assert_eq!(ran.load(Ordering::SeqCst), ahead);
+                } else if ran.fetch_add(1, Ordering::SeqCst) + 1 == ahead {
+                    tx.send(()).expect("straggler gone");
+                }
+                i
+            },
+            |seq, r| assert_eq!(seq, r),
+        );
+        assert_eq!(stats.packets, 3 * c.window());
+        assert!(stats.live_peak <= c.window());
     }
 
     #[test]
@@ -592,8 +660,9 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let (out, stats) = pipeline_map(&cfg(4), Vec::<u8>::new(), |i| i);
-        assert!(out.is_empty());
+        let stats = pipeline_stream(&cfg(4), 0..0usize, |i| i, |_, _| {
+            panic!("no packet to consume")
+        });
         assert_eq!(stats.packets, 0);
         assert_eq!(stats.live_peak, 0);
     }
@@ -601,7 +670,7 @@ mod tests {
     #[test]
     fn worker_panics_propagate() {
         let caught = std::panic::catch_unwind(|| {
-            pipeline_map(&cfg(2), (0..8usize).collect(), |i| {
+            par_map(2, (0..8usize).collect(), |i| {
                 if i == 5 {
                     panic!("cell exploded");
                 }
@@ -624,11 +693,24 @@ mod tests {
     }
 
     #[test]
+    fn iterator_panics_propagate() {
+        let caught = std::panic::catch_unwind(|| {
+            let items = (0..64usize).inspect(|&i| {
+                if i == 20 {
+                    panic!("scenario generator exploded");
+                }
+            });
+            pipeline_stream(&cfg(2), items, |i| i, |_, _| {})
+        });
+        assert!(caught.is_err(), "panic in the scenario iterator must reach the caller");
+    }
+
+    #[test]
     fn lazy_generator_is_driven_incrementally() {
-        // The generator must never materialize the whole input: with a
-        // window of jobs + reorder, the iterator cursor can be at most
-        // window + (packets already consumed) at any instant.
-        let c = PipelineConfig { jobs: 2, reorder_window: 4 };
+        // The generator must never materialize the whole input: the
+        // iterator cursor can be at most window + (packets already
+        // consumed) at any instant.
+        let c = cfg(2);
         let issued = AtomicUsize::new(0);
         let consumed = AtomicUsize::new(0);
         let items = (0..500usize).inspect(|_| {
@@ -652,7 +734,7 @@ mod tests {
             &cfg(2),
             0..64usize,
             |i| {
-                std::thread::sleep(std::time::Duration::from_micros(200));
+                std::thread::sleep(Duration::from_micros(200));
                 i
             },
             |_, _| {},

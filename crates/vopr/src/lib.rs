@@ -14,7 +14,7 @@
 //! termination. On failure, a shrinker ([`shrink`]) minimizes the
 //! scenario while preserving the failure kind and emits a self-contained
 //! JSON repro with the exact CLI line that replays it ([`repro`]).
-//! [`swarm`] fans seed ranges across the deterministic parallel pool.
+//! [`swarm`] fans seed ranges across the deterministic sweep engine.
 
 pub mod gen;
 pub mod oracle;

@@ -9,7 +9,7 @@
 //! `--seed` fuzzes one seed: generate the scenario, run the oracle
 //! battery, and on failure shrink to a minimal repro and write a JSON
 //! bundle with the exact replay line. `--swarm` fans a contiguous seed
-//! range across the deterministic parallel pool and prints a summary
+//! range across the deterministic sweep engine and prints a summary
 //! table (bit-identical across reruns and worker counts). `--repro`
 //! replays a previously written bundle.
 
@@ -93,8 +93,8 @@ fn main() -> ExitCode {
         }
     };
     if let Some(jobs) = opts.jobs {
-        // The parallel pool resolves its worker count from CLOUDLB_JOBS
-        // (see cloudlb_core::parallel::default_jobs).
+        // The sweep engine resolves its worker count from CLOUDLB_JOBS
+        // (see cloudlb_core::pipeline::default_jobs).
         std::env::set_var("CLOUDLB_JOBS", jobs.to_string());
     }
     let oracle_opts = OracleOpts { inject: opts.inject };

@@ -40,7 +40,7 @@ fn main() -> ExitCode {
     };
     if let Some(jobs) = opts.jobs {
         // The sweep engine resolves its worker count from CLOUDLB_JOBS
-        // (see cloudlb_core::parallel::default_jobs); --jobs overrides it
+        // (see cloudlb_core::pipeline::default_jobs); --jobs overrides it
         // process-wide before any sweep starts.
         std::env::set_var("CLOUDLB_JOBS", jobs.to_string());
     }

@@ -1,9 +1,9 @@
 //! Determinism of the parallel sweep engine: fanning runs across worker
 //! threads must be invisible in the results. Every `EvalPoint` and every
-//! raw `RunResult` produced with `--jobs 4` has to be bit-identical to
-//! the serial (`jobs = 1`) evaluation — same floats, same event counts,
-//! same migrations — because results are reduced in submission order
-//! regardless of which worker finishes first.
+//! raw `RunResult` produced with `--jobs 2` or `--jobs 4` has to be
+//! bit-identical to the serial (`jobs = 1`) evaluation — same floats,
+//! same event counts, same migrations — because results are reduced in
+//! submission order regardless of which worker finishes first.
 
 use cloudlb_core::{evaluate_cells, par_map, run_scenario, CellSpec, Scenario};
 
@@ -50,9 +50,11 @@ fn parallel_run_results_are_bit_identical_to_serial() {
         .collect();
 
     let serial: Vec<_> = scenarios.iter().map(run_scenario).collect();
-    let parallel = par_map(4, scenarios.clone(), |s| run_scenario(&s));
-    assert_eq!(parallel.len(), serial.len());
-    for (i, (p, s)) in parallel.iter().zip(&serial).enumerate() {
-        assert_eq!(p, s, "RunResult {i} diverged between jobs=4 and serial");
+    for jobs in [2, 4] {
+        let parallel = par_map(jobs, scenarios.clone(), |s| run_scenario(&s));
+        assert_eq!(parallel.len(), serial.len());
+        for (i, (p, s)) in parallel.iter().zip(&serial).enumerate() {
+            assert_eq!(p, s, "RunResult {i} diverged between jobs={jobs} and serial");
+        }
     }
 }

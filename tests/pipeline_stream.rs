@@ -1,13 +1,14 @@
 //! End-to-end guarantees of the streaming sweep pipeline: the packet
 //! engine behind `evaluate_cells` / `eval_matrix` must be invisible in
-//! the results. Streaming consumers see exactly the collect-all points,
-//! collect-all is bit-identical to serial for any worker count across
-//! the CI seeds, and the in-flight window bounds peak live results no
-//! matter how large the sweep grows.
+//! the results. Streaming consumers see exactly the collect-all points
+//! for any worker count across the CI seeds, a streamed sweep of real
+//! runs matches the serial runs bit-for-bit in submission order, and
+//! the in-flight window bounds peak live results no matter how large
+//! the sweep grows.
 
 use cloudlb::core_api::figures;
 use cloudlb::core_api::{
-    evaluate_cells, evaluate_cells_stream, par_map, pipeline_map, run_scenario, CellSpec,
+    evaluate_cells, evaluate_cells_stream, pipeline_stream, run_scenario, CellSpec,
     PipelineConfig, Scenario, StreamSummary,
 };
 
@@ -50,10 +51,18 @@ fn pipeline_map_is_bit_identical_to_par_map_on_real_runs() {
             })
         })
         .collect();
-    let baseline = par_map(4, scenarios.clone(), |s| run_scenario(&s));
+    let baseline: Vec<_> = scenarios.iter().map(run_scenario).collect();
     for jobs in [2, 4] {
-        let (piped, stats) =
-            pipeline_map(&PipelineConfig::new(jobs), scenarios.clone(), |s| run_scenario(&s));
+        let mut piped = Vec::new();
+        let stats = pipeline_stream(
+            &PipelineConfig::new(jobs),
+            scenarios.clone(),
+            |s| run_scenario(&s),
+            |seq, r| {
+                assert_eq!(seq, piped.len(), "jobs={jobs}: out of submission order");
+                piped.push(r);
+            },
+        );
         assert_eq!(piped, baseline, "jobs={jobs}");
         assert!(stats.live_peak <= stats.window, "jobs={jobs}");
     }
@@ -83,10 +92,10 @@ fn eval_matrix_stream_matches_the_batch_matrix() {
 #[test]
 fn live_results_stay_bounded_on_a_sweep_much_larger_than_the_window() {
     // A long synthetic sweep (no simulator, just packets): whatever the
-    // input size, peak live results must respect jobs + reorder_window.
-    let cfg = PipelineConfig { jobs: 4, reorder_window: 8 };
+    // input size, peak live results must respect the in-flight window.
+    let cfg = PipelineConfig::new(4);
     let mut consumed = 0usize;
-    let stats = cloudlb::core_api::pipeline_stream(
+    let stats = pipeline_stream(
         &cfg,
         0..5_000u64,
         |x| x.wrapping_mul(3),
