@@ -10,6 +10,9 @@
 //!
 //! `evaluate` reproduces one cell by running the three scenarios over a
 //! set of seeds and averaging — the paper averages three repeated runs.
+//! [`report_scenario`] measures one arbitrary scenario the same way
+//! (against its base) and prices each active chaos layer against a twin
+//! without it.
 //!
 //! # Parallel sweeps
 //!
@@ -54,6 +57,89 @@ pub fn try_run_scenario(s: &Scenario) -> Result<RunResult, RuntimeError> {
         exec = exec.with_membership(membership);
     }
     exec.try_run()
+}
+
+/// Everything `cloudlb run` reports about one scenario, from the runs
+/// [`report_scenario`] made: the scenario itself, its paper metrics
+/// against the interference-free base, and one impact per active chaos
+/// layer, each priced against a twin without that layer.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ScenarioReport {
+    /// The scenario that ran.
+    pub scenario: Scenario,
+    /// Application makespan of the interference-free base run (s).
+    pub base_s: f64,
+    /// Application makespan of the scenario run (s).
+    pub app_s: f64,
+    /// `(T_run − T_base) / T_base` (fraction).
+    pub timing_penalty: f64,
+    /// Energy overhead of the run vs the base (fraction).
+    pub energy_overhead: f64,
+    /// Average power per node over the run (W).
+    pub power_per_node_w: f64,
+    /// Migrations committed.
+    pub migrations: usize,
+    /// LB steps taken.
+    pub lb_steps: usize,
+    /// Steady-state LB windows the run macro-stepped.
+    pub ff_windows: usize,
+    /// Event pops those windows skipped.
+    pub events_skipped: u64,
+    /// Failure layer vs a failure-free twin (`fail` non-empty).
+    pub failures: Option<FailureImpact>,
+    /// Telemetry layer vs a clean-telemetry twin.
+    pub telemetry: Option<TelemetryImpact>,
+    /// Network layer vs a clean-network twin.
+    pub network: Option<NetworkImpact>,
+    /// Membership layer vs a static-cluster twin.
+    pub membership: Option<ElasticityImpact>,
+}
+
+/// Run `s` with its base and one clean twin per active chaos layer, all
+/// through [`try_run_scenario`], and gather the metrics into one
+/// [`ScenarioReport`]. The scenario is validated before anything runs.
+pub fn report_scenario(s: &Scenario) -> Result<ScenarioReport, RuntimeError> {
+    s.validate().map_err(RuntimeError::InvalidConfig)?;
+    let base = try_run_scenario(&s.base_of())?;
+    let run = try_run_scenario(s)?;
+    // The twin of `s` with one layer switched off, run only when that
+    // layer is active.
+    let twin = |active: bool, strip: fn(&mut Scenario)| {
+        if !active {
+            return Ok(None);
+        }
+        let mut clean = s.clone();
+        strip(&mut clean);
+        try_run_scenario(&clean).map(Some)
+    };
+    let failures = twin(!s.fail.is_empty(), |c| c.fail.clear())?
+        .map(|clean| failure_impact(&run, &clean));
+    let telemetry = twin(s.telemetry.is_some_and(|t| t.is_active()), |c| c.telemetry = None)?
+        .map(|clean| telemetry_impact(&run, &clean));
+    let network = twin(s.net_fault.as_ref().is_some_and(|n| n.is_active()), |c| {
+        c.net_fault = None
+    })?
+    .map(|clean| network_impact(&run, &clean));
+    let membership = twin(s.membership.as_ref().is_some_and(|m| m.is_active()), |c| {
+        c.membership = None
+    })?
+    .map(|clean| elasticity_impact(&run, &clean, s));
+    Ok(ScenarioReport {
+        scenario: s.clone(),
+        base_s: base.app_time.as_secs_f64(),
+        app_s: run.app_time.as_secs_f64(),
+        timing_penalty: run.timing_penalty_vs(&base),
+        energy_overhead: run.energy_overhead_vs(&base),
+        power_per_node_w: run.energy.avg_power_per_node_w,
+        migrations: run.migrations,
+        lb_steps: run.lb_steps,
+        ff_windows: run.ff_windows,
+        events_skipped: run.events_skipped,
+        failures,
+        telemetry,
+        network,
+        membership,
+    })
 }
 
 /// The cost of dirty counters: a telemetry-corrupted run compared against
@@ -587,6 +673,24 @@ mod tests {
                 other => panic!("expected InvalidConfig, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn report_prices_only_the_active_layers() {
+        let mut drill = Scenario::failure_drill("wave2d", 4, "cloudrefine");
+        drill.iterations = 30;
+        let r = report_scenario(&drill).expect("drill is recoverable");
+        let run = try_run_scenario(&drill).unwrap();
+        let base = try_run_scenario(&drill.base_of()).unwrap();
+        assert_eq!(r.scenario, drill);
+        assert_eq!(r.app_s, run.app_time.as_secs_f64());
+        assert_eq!(r.timing_penalty, run.timing_penalty_vs(&base));
+        assert_eq!(r.migrations, run.migrations);
+        assert_eq!(r.failures.as_ref().map(|f| f.failures), Some(1));
+        assert!(r.telemetry.is_none() && r.network.is_none() && r.membership.is_none());
+
+        let bad = Scenario { app: "linpack".into(), ..drill };
+        assert!(matches!(report_scenario(&bad), Err(RuntimeError::InvalidConfig(_))));
     }
 
     #[test]

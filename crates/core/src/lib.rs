@@ -26,8 +26,8 @@ pub mod stream_agg;
 
 pub use experiment::{
     elasticity_impact, evaluate, evaluate_cells, evaluate_cells_stream, failure_impact,
-    network_impact, run_scenario, try_run_scenario, CellSpec, ElasticityImpact, EvalPoint,
-    FailureImpact, NetworkImpact,
+    network_impact, report_scenario, run_scenario, try_run_scenario, CellSpec, ElasticityImpact,
+    EvalPoint, FailureImpact, NetworkImpact, ScenarioReport,
 };
 pub use pipeline::{default_jobs, par_map, pipeline_stream, PipelineConfig, PipelineStats};
 pub use scenario::{BgPattern, FailSpec, Scenario};

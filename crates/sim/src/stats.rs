@@ -1,82 +1,5 @@
 //! Small statistics helpers used by the experiment harness (means over
-//! seeds, imbalance summaries, penalty series).
-
-use serde::{Deserialize, Serialize};
-
-/// Streaming accumulator for min/max/mean/variance (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct Accumulator {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Accumulator { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
-
-impl FromIterator<f64> for Accumulator {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut acc = Accumulator::new();
-        for x in iter {
-            acc.push(x);
-        }
-        acc
-    }
-}
+//! seeds).
 
 /// Mean of a slice (0 for empty input).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -87,46 +10,9 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Max/mean load imbalance ratio: 1.0 is perfectly balanced.
-/// Returns 1.0 when the mean is zero (no load anywhere).
-pub fn imbalance(loads: &[f64]) -> f64 {
-    let m = mean(loads);
-    if m <= 0.0 {
-        return 1.0;
-    }
-    loads.iter().copied().fold(f64::NEG_INFINITY, f64::max) / m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulator_moments() {
-        let acc: Accumulator = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].into_iter().collect();
-        assert_eq!(acc.count(), 8);
-        assert!((acc.mean() - 5.0).abs() < 1e-12);
-        assert!((acc.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(acc.min(), Some(2.0));
-        assert_eq!(acc.max(), Some(9.0));
-    }
-
-    #[test]
-    fn empty_accumulator_is_safe() {
-        let acc = Accumulator::new();
-        assert_eq!(acc.mean(), 0.0);
-        assert_eq!(acc.std_dev(), 0.0);
-        assert_eq!(acc.min(), None);
-        assert_eq!(acc.max(), None);
-    }
-
-    #[test]
-    fn imbalance_ratios() {
-        assert!((imbalance(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        assert!((imbalance(&[2.0, 1.0, 0.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(imbalance(&[]), 1.0);
-        assert_eq!(imbalance(&[0.0, 0.0]), 1.0);
-    }
 
     #[test]
     fn mean_of_slice() {

@@ -6,15 +6,13 @@
 //! cloudlb matrix --app mol3d [--fast] [--json]
 //! ```
 //!
-//! `run` executes one paper scenario (base + interfered) and reports the
-//! timing penalty, power and energy overhead; the `fig*` subcommands
+//! `run` executes one scenario (base + interfered, plus a clean twin per
+//! active chaos layer) and reports the timing penalty, power, energy
+//! overhead and each layer's impact, as text or `--json`; the `fig*` subcommands
 //! regenerate the paper's figures; `matrix` prints both the Fig. 2 and
 //! Fig. 4 tables for one application.
 
-use cloudlb::core_api::experiment::{
-    elasticity_impact, evaluate_cells, failure_impact, network_impact, run_scenario,
-    telemetry_impact, try_run_scenario, CellSpec,
-};
+use cloudlb::core_api::experiment::{report_scenario, try_run_scenario};
 use cloudlb::core_api::default_jobs;
 use cloudlb::core_api::figures;
 use cloudlb::core_api::scenario::{BgPattern, FailSpec, Scenario};
@@ -57,41 +55,7 @@ fn main() -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        "fig2" | "fig4" => {
-            if opts.stream_summary {
-                let mut table = if cmd == "fig2" {
-                    figures::fig2_table(&[])
-                } else {
-                    figures::fig4_table(&[])
-                };
-                let (summary, stats) = figures::eval_matrix_stream(
-                    &opts.app,
-                    &opts.cores_list(),
-                    opts.iters,
-                    &opts.seeds,
-                    default_jobs(),
-                    |p| {
-                        if cmd == "fig2" {
-                            figures::fig2_row(&mut table, p)
-                        } else {
-                            figures::fig4_row(&mut table, p)
-                        }
-                    },
-                );
-                print!("{}", table.markdown());
-                print_stream_summary(&summary, &stats);
-            } else {
-                let points =
-                    figures::eval_matrix(&opts.app, &opts.cores_list(), opts.iters, &opts.seeds);
-                let table = if cmd == "fig2" {
-                    figures::fig2_table(&points)
-                } else {
-                    figures::fig4_table(&points)
-                };
-                print!("{}", table.markdown());
-            }
-            ExitCode::SUCCESS
-        }
+        "fig2" | "fig4" | "matrix" => cmd_matrix(cmd, &opts),
         "fig3" => {
             let out = figures::fig3(60, 6);
             for (label, s) in &out.phases {
@@ -101,43 +65,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "trace" => cmd_trace(&opts),
-        "matrix" => {
-            if opts.stream_summary {
-                // Memory-bounded path: cells stream through the pipeline,
-                // table rows accumulate incrementally, and only online
-                // summaries survive the sweep — no Vec<EvalPoint>.
-                let mut t2 = figures::fig2_table(&[]);
-                let mut t4 = figures::fig4_table(&[]);
-                let (summary, stats) = figures::eval_matrix_stream(
-                    &opts.app,
-                    &opts.cores_list(),
-                    opts.iters,
-                    &opts.seeds,
-                    default_jobs(),
-                    |p| {
-                        figures::fig2_row(&mut t2, p);
-                        figures::fig4_row(&mut t4, p);
-                    },
-                );
-                println!("Fig. 2 ({})", opts.app);
-                print!("{}", t2.markdown());
-                println!("\nFig. 4 ({})", opts.app);
-                print!("{}", t4.markdown());
-                print_stream_summary(&summary, &stats);
-            } else {
-                let points =
-                    figures::eval_matrix(&opts.app, &opts.cores_list(), opts.iters, &opts.seeds);
-                if opts.json {
-                    println!("{}", serde_json_string(&points));
-                } else {
-                    println!("Fig. 2 ({})", opts.app);
-                    print!("{}", figures::fig2_table(&points).markdown());
-                    println!("\nFig. 4 ({})", opts.app);
-                    print!("{}", figures::fig4_table(&points).markdown());
-                }
-            }
-            ExitCode::SUCCESS
-        }
         other => {
             eprintln!("unknown command {other:?}\n\n{USAGE}");
             ExitCode::FAILURE
@@ -145,42 +72,28 @@ fn main() -> ExitCode {
     }
 }
 
-/// Resolve the scenario: either from `--scenario file.json` or from flags.
+/// Resolve the scenario: from `--scenario file.json` or the paper preset
+/// for `--app`/`--cores`/`--strategy`, with the chaos and interference
+/// flags layered on top.
 fn scenario_from(opts: &Opts) -> Result<Scenario, String> {
-    if let Some(path) = &opts.scenario_file {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let mut scn: Scenario = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-        scn.fail.extend(opts.fail.iter().copied());
-        if opts.telemetry.is_some() {
-            scn.telemetry = opts.telemetry;
+    let mut scn = match &opts.scenario_file {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            serde_json::from_str::<Scenario>(&text).map_err(|e| format!("{path}: {e}"))?
         }
-        if opts.net_fault.is_some() {
-            scn.net_fault = opts.net_fault.clone();
+        None => {
+            let mut scn = Scenario::paper(&opts.app, opts.cores, &opts.strategy);
+            scn.iterations = opts.iters;
+            scn.seed = opts.seeds[0];
+            scn
         }
-        if opts.membership.is_some() {
-            scn.membership = opts.membership.clone();
-        }
-        if let Some(ff) = opts.fast_forward {
-            scn.fast_forward = ff;
-        }
-        if let Some(bg) = opts.bg {
-            scn.bg = bg;
-        }
-        return Ok(scn);
-    }
-    let mut scn = Scenario::paper(&opts.app, opts.cores, &opts.strategy);
-    scn.iterations = opts.iters;
-    scn.seed = opts.seeds[0];
+    };
     scn.fail.extend(opts.fail.iter().copied());
-    scn.telemetry = opts.telemetry;
-    scn.net_fault = opts.net_fault.clone();
-    scn.membership = opts.membership.clone();
-    if let Some(ff) = opts.fast_forward {
-        scn.fast_forward = ff;
-    }
-    if let Some(bg) = opts.bg {
-        scn.bg = bg;
-    }
+    scn.telemetry = opts.telemetry.or(scn.telemetry);
+    scn.net_fault = opts.net_fault.clone().or(scn.net_fault.take());
+    scn.membership = opts.membership.clone().or(scn.membership.take());
+    scn.fast_forward = opts.fast_forward.unwrap_or(scn.fast_forward);
+    scn.bg = opts.bg.unwrap_or(scn.bg);
     Ok(scn)
 }
 
@@ -193,8 +106,13 @@ fn cmd_trace(opts: &Opts) -> ExitCode {
         }
     };
     scn.trace = true;
-    let run = run_scenario(&scn);
-    let trace = run.trace.expect("tracing enabled");
+    let trace = match try_run_scenario(&scn) {
+        Ok(run) => run.trace.expect("tracing enabled"),
+        Err(e) => {
+            eprintln!("run failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     println!("{}", render_ascii(&trace, &TimelineOptions { width: 110, ..Default::default() }));
     println!("{}", render_profile(&trace, &ProfileOptions::default()));
     let path = std::env::temp_dir().join("cloudlb_trace.svg");
@@ -209,6 +127,8 @@ fn cmd_trace(opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `run`: one [`report_scenario`] call, rendered as text or, under
+/// `--json`, as the report document alone.
 fn cmd_run(opts: &Opts) -> ExitCode {
     let scn = match scenario_from(opts) {
         Ok(s) => s,
@@ -217,63 +137,41 @@ fn cmd_run(opts: &Opts) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let base = run_scenario(&scn.base_of());
-    let run = match try_run_scenario(&scn) {
+    let r = match report_scenario(&scn) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("run failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // Under --json, stdout carries exactly one JSON document; the impact
-    // summaries below go to stderr so the output stays parseable.
-    let report = |line: String| {
-        if opts.json {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
     if opts.json {
-        // Same paper cell as `evaluate`, but carrying the run's
-        // fast-forward mode so `--fast-forward off` shows in the record.
-        let mut cell = CellSpec::paper(&scn.app, scn.cores, scn.iterations, &scn.strategy);
-        cell.fast_forward = scn.fast_forward;
-        let p = evaluate_cells(std::slice::from_ref(&cell), &opts.seeds, default_jobs())
-            .pop()
-            .expect("one cell evaluated");
-        println!("{}", serde_json_string(&p));
-    } else {
+        println!("{}", serde_json_string(&r));
+        return ExitCode::SUCCESS;
+    }
+    println!(
+        "{} on {} cores, strategy {}: base {:.3} s, interfered {:.3} s \
+         (penalty {:.1} %), {} migrations, {:.1} W/node, energy overhead {:.1} %",
+        scn.app,
+        scn.cores,
+        scn.strategy,
+        r.base_s,
+        r.app_s,
+        r.timing_penalty * 100.0,
+        r.migrations,
+        r.power_per_node_w,
+        r.energy_overhead * 100.0,
+    );
+    if r.ff_windows > 0 {
         println!(
-            "{} on {} cores, strategy {}: base {:.3} s, interfered {:.3} s \
-             (penalty {:.1} %), {} migrations, {:.1} W/node, energy overhead {:.1} %",
-            scn.app,
-            scn.cores,
-            scn.strategy,
-            base.app_time.as_secs_f64(),
-            run.app_time.as_secs_f64(),
-            run.timing_penalty_vs(&base) * 100.0,
-            run.migrations,
-            run.energy.avg_power_per_node_w,
-            run.energy_overhead_vs(&base) * 100.0,
+            "fast-forwarded {}/{} iterations ({} windows, {} events skipped)",
+            r.ff_windows * scn.lb_period,
+            scn.iterations,
+            r.ff_windows,
+            r.events_skipped,
         );
     }
-    if run.ff_windows > 0 {
-        report(format!(
-            "fast-forwarded {}/{} iterations ({} windows, {} events skipped)",
-            run.ff_windows * scn.lb_period,
-            scn.iterations,
-            run.ff_windows,
-            run.events_skipped,
-        ));
-    }
-    if run.failures > 0 {
-        // A failure-free twin isolates the cost of the injected failures
-        // from the cost of the interference.
-        let mut clean = scn.clone();
-        clean.fail.clear();
-        let imp = failure_impact(&run, &run_scenario(&clean));
-        report(format!(
+    if let Some(imp) = &r.failures {
+        println!(
             "failures: {} core(s) lost, {} recover{}, {} iteration(s) replayed, \
              {:.3} s recovering (failure penalty {:.1} %)",
             imp.failures,
@@ -282,14 +180,10 @@ fn cmd_run(opts: &Opts) -> ExitCode {
             imp.replayed_iters,
             imp.recovery_time_s,
             imp.failure_penalty * 100.0,
-        ));
+        );
     }
-    if scn.telemetry.is_some() {
-        // A clean-telemetry twin isolates what the corrupted counters cost.
-        let mut clean = scn.clone();
-        clean.telemetry = None;
-        let imp = telemetry_impact(&run, &run_scenario(&clean));
-        report(format!(
+    if let Some(imp) = &r.telemetry {
+        println!(
             "telemetry: {} clamped O_p, {} stale window(s), {} task overrun(s), \
              {} implausible idle; {} migration(s) suppressed, {} oscillation(s) damped, \
              {} outlier(s) rejected; noise penalty {:.1} %",
@@ -301,14 +195,10 @@ fn cmd_run(opts: &Opts) -> ExitCode {
             imp.oscillations,
             imp.outliers_rejected,
             imp.noise_penalty * 100.0,
-        ));
+        );
     }
-    if scn.net_fault.is_some() {
-        // A clean-network twin isolates what the flaky interconnect cost.
-        let mut clean = scn.clone();
-        clean.net_fault = None;
-        let imp = network_impact(&run, &run_scenario(&clean));
-        report(format!(
+    if let Some(imp) = &r.network {
+        println!(
             "network: {} cop(ies) lost, {} ghost retransmit(s), {} duplicate(s) dropped, \
              {} migration retr(ies), {} abort(s), {:.3} s partitioned \
              (network penalty {:.1} %)",
@@ -319,15 +209,10 @@ fn cmd_run(opts: &Opts) -> ExitCode {
             imp.migration_aborts,
             imp.partition_s,
             imp.net_penalty * 100.0,
-        ));
+        );
     }
-    if scn.membership.as_ref().is_some_and(|m| m.is_active()) {
-        // A static-cluster twin isolates what membership churn cost beyond
-        // the capacity it took away.
-        let mut clean = scn.clone();
-        clean.membership = None;
-        let imp = elasticity_impact(&run, &run_scenario(&clean), &scn);
-        report(format!(
+    if let Some(imp) = &r.membership {
+        println!(
             "membership: {} notice(s), {} node(s) revoked, {} acquired ({} warmed up); \
              {}/{} evacuation(s) completed, {} chare(s) drained, {} rescued, {} rolled back; \
              penalty {:.1} % ({:.1} % capacity-adjusted at {:.0} % avg capacity)",
@@ -343,21 +228,49 @@ fn cmd_run(opts: &Opts) -> ExitCode {
             imp.penalty * 100.0,
             imp.capacity_adjusted_penalty * 100.0,
             imp.capacity_avg_frac * 100.0,
-        ));
+        );
     }
     ExitCode::SUCCESS
 }
 
-fn serde_json_string<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("serializable")
-}
-
-/// Footer for `--stream-summary` runs: the online metric summaries plus
-/// the pipeline's own counters.
-fn print_stream_summary(summary: &figures::MatrixSummary, stats: &cloudlb::core_api::PipelineStats) {
-    println!("\nstreaming summary");
-    print!("{}", summary.render());
-    println!(
+/// `fig2`, `fig4` and `matrix`: stream the app's matrix through the sweep
+/// pipeline, appending table rows as cells finish, then print the tables
+/// (or, for `matrix --json`, the points) and the matrix summary. The
+/// pipeline's timing line goes to stderr so stdout stays deterministic.
+fn cmd_matrix(cmd: &str, opts: &Opts) -> ExitCode {
+    let json = cmd == "matrix" && opts.json;
+    let mut t2 = figures::fig2_table(&[]);
+    let mut t4 = figures::fig4_table(&[]);
+    let mut points = Vec::new();
+    let (summary, stats) = figures::eval_matrix_stream(
+        &opts.app,
+        &opts.cores_list(),
+        opts.iters,
+        &opts.seeds,
+        default_jobs(),
+        |p| {
+            figures::fig2_row(&mut t2, p);
+            figures::fig4_row(&mut t4, p);
+            if json {
+                points.push(p.clone());
+            }
+        },
+    );
+    let summary = format!("\nsummary\n{}", summary.render());
+    if json {
+        println!("{}", serde_json_string(&points));
+        eprint!("{summary}");
+    } else if cmd == "fig2" {
+        print!("{}{summary}", t2.markdown());
+    } else if cmd == "fig4" {
+        print!("{}{summary}", t4.markdown());
+    } else {
+        println!("Fig. 2 ({})", opts.app);
+        print!("{}", t2.markdown());
+        println!("\nFig. 4 ({})", opts.app);
+        print!("{}{summary}", t4.markdown());
+    }
+    eprintln!(
         "pipeline: {:.1} cells-arms/s, utilization {:.2}, reorder peak {}, \
          live peak {} (bound {}), {} steals, {} injector claims",
         stats.packets_per_sec,
@@ -368,6 +281,11 @@ fn print_stream_summary(summary: &figures::MatrixSummary, stats: &cloudlb::core_
         stats.steals,
         stats.injector_claims,
     );
+    ExitCode::SUCCESS
+}
+
+fn serde_json_string<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("serializable")
 }
 
 const USAGE: &str = "usage:
@@ -379,19 +297,25 @@ const USAGE: &str = "usage:
   cloudlb run    --scenario <file.json> [--fail <spec>[,<spec>...]] [--json]
   cloudlb trace  --app <name> --cores <n> [--strategy <s>] [--iters <n>]
   cloudlb fig1 | fig3
-  cloudlb fig2 | fig4 [--app <name>] [--fast] [--jobs <n>] [--stream-summary]
-  cloudlb matrix --app <name> [--fast] [--json] [--jobs <n>] [--stream-summary]
+  cloudlb fig2 | fig4 [--app <name>] [--fast] [--jobs <n>]
+  cloudlb matrix --app <name> [--fast] [--json] [--jobs <n>]
 
 --jobs <n> (or CLOUDLB_JOBS=<n>) spreads the sweep's independent runs over
 n worker threads; results are bit-identical to --jobs 1. Defaults to the
 machine's available parallelism.
 
---stream-summary runs the matrix through the streaming pipeline: cells are
-consumed as they finish (peak live runs is O(jobs + reorder window), not
-O(cells×seeds)) and an online count/mean/min/max/quantile summary per
-metric is printed after the tables, plus the pipeline's throughput,
-utilization and high-water marks. Tables stay bit-identical to the
-batch path.
+run prints the base and interfered metrics, then one line per active chaos
+layer, each priced against a twin run without that layer. With --json it
+prints one JSON document instead: the scenario that ran, base_s, app_s,
+timing_penalty, energy_overhead, power_per_node_w, migrations, lb_steps,
+ff_windows, events_skipped, and failures/telemetry/network/membership
+impact objects (null when the layer is off).
+
+fig2, fig4 and matrix stream the sweep: table rows fill in as cells finish
+(at most O(jobs) runs alive) and a count/mean/min/max/quantile summary per
+metric follows the tables. The pipeline's throughput, utilization and
+high-water marks go to stderr. matrix --json prints the points as one JSON
+array.
 
 --fast-forward on|off|auto controls the steady-state macro-stepper: clean
 LB windows are replayed analytically instead of event by event, with
@@ -441,7 +365,6 @@ struct Opts {
     jobs: Option<usize>,
     fast_forward: Option<FastForward>,
     bg: Option<BgPattern>,
-    stream_summary: bool,
 }
 
 /// Parse a `--bg` value: `paper` (keep the scenario's own pattern),
@@ -482,7 +405,6 @@ impl Opts {
             jobs: None,
             fast_forward: None,
             bg: None,
-            stream_summary: false,
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -503,7 +425,6 @@ impl Opts {
                 }
                 "--json" => o.json = true,
                 "--fast" => o.fast = true,
-                "--stream-summary" => o.stream_summary = true,
                 "--jobs" => {
                     let jobs: usize =
                         value("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?;
@@ -621,12 +542,6 @@ mod tests {
     fn jobs_flag_parses() {
         assert_eq!(parse(&[]).unwrap().jobs, None);
         assert_eq!(parse(&["--jobs", "4"]).unwrap().jobs, Some(4));
-    }
-
-    #[test]
-    fn stream_summary_flag_parses() {
-        assert!(!parse(&[]).unwrap().stream_summary);
-        assert!(parse(&["--stream-summary"]).unwrap().stream_summary);
     }
 
     #[test]

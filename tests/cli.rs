@@ -27,9 +27,65 @@ fn run_subcommand_json_is_parseable() {
     assert!(out.status.success());
     let v: serde_json::Value =
         serde_json::from_slice(&out.stdout).expect("valid JSON on stdout");
-    assert_eq!(v["app"], "wave2d");
-    assert_eq!(v["cores"], 4);
-    assert!(v["penalty_nolb"].as_f64().expect("number") > 0.0);
+    assert_eq!(v["scenario"]["app"], "wave2d");
+    assert_eq!(v["scenario"]["cores"], 4);
+    assert!(v["timing_penalty"].as_f64().expect("number") > 0.0);
+    assert!(v["base_s"].as_f64().expect("number") > 0.0);
+    assert_eq!(v["network"], serde_json::Value::Null, "inactive layers are null");
+}
+
+#[test]
+fn run_text_and_json_report_the_same_run() {
+    let args = ["run", "--app", "jacobi2d", "--cores", "8", "--iters", "30", "--bg", "none"];
+    let text = cloudlb(&args);
+    assert!(text.status.success(), "{}", String::from_utf8_lossy(&text.stderr));
+    let stdout = String::from_utf8_lossy(&text.stdout);
+    assert!(stdout.contains("(penalty 0.0 %), 0 migrations"), "{stdout}");
+
+    let json = cloudlb(&[&args[..], &["--json"]].concat());
+    assert!(json.status.success(), "{}", String::from_utf8_lossy(&json.stderr));
+    let v: serde_json::Value = serde_json::from_slice(&json.stdout).expect("valid JSON");
+    assert_eq!(v["timing_penalty"].as_f64(), Some(0.0));
+    assert_eq!(v["migrations"], 0);
+    assert_eq!(v["scenario"]["bg"], "None");
+}
+
+#[test]
+fn run_json_carries_the_network_impact() {
+    let out = cloudlb(&[
+        "run", "--cores", "8", "--iters", "30", "--net-fault", "flaky_cloud", "--json",
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+    assert!(
+        matches!(&v["network"], serde_json::Value::Object(_)),
+        "network impact missing: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(v["network"]["net_penalty"].as_f64().is_some());
+    assert!(matches!(&v["scenario"]["net_fault"], serde_json::Value::Object(_)));
+    assert_eq!(v["failures"], serde_json::Value::Null);
+}
+
+#[test]
+fn unknown_app_is_a_clean_error_not_a_panic() {
+    for cmd in ["run", "trace"] {
+        let out = cloudlb(&[cmd, "--app", "linpack"]);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown application"), "{cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+}
+
+#[test]
+fn matrix_json_stdout_is_the_points_array_alone() {
+    let out = cloudlb(&["matrix", "--app", "jacobi2d", "--fast", "--json"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+    assert!(matches!(&v, serde_json::Value::Array(a) if a.len() == 2), "{v:?}");
+    assert_eq!(v[0]["cores"], 4);
+    assert_eq!(v[1]["cores"], 8);
 }
 
 #[test]
