@@ -4,6 +4,9 @@
 //!
 //! * **No panics** — the runtime must terminate normally or with a typed
 //!   [`RuntimeError`]; any unwind is a bug.
+//! * **No protocol violations** — [`RuntimeError::Protocol`] is typed but
+//!   still a runtime bug (in the simulator: the event queue ran dry while
+//!   work was pending, i.e. a deadlock), never an acceptable termination.
 //! * **Determinism** — a second run from the same seed must be
 //!   bit-identical ([`RunResult`]'s full `PartialEq`), including the exact
 //!   same typed error when the run fails.
@@ -56,6 +59,8 @@ pub struct OracleOpts {
 pub enum FailureKind {
     /// The runtime unwound instead of returning a typed error.
     Panic,
+    /// The runtime returned [`RuntimeError::Protocol`] (e.g. a deadlock).
+    Protocol,
     /// Two runs from the same seed disagreed.
     Nondeterminism,
     /// A normally-terminating run skipped iterations.
@@ -144,6 +149,15 @@ fn run_caught(s: &Scenario) -> Result<Result<RunResult, RuntimeError>, String> {
         .map_err(panic_detail)
 }
 
+/// Verdict for a run that ended in a (deterministic) typed error: a
+/// protocol violation is a runtime bug, anything else an acceptable stop.
+fn typed_termination(e: RuntimeError) -> Verdict {
+    match e {
+        RuntimeError::Protocol(_) => Err(OracleFailure::new(FailureKind::Protocol, e.to_string())),
+        _ => Ok(Outcome::TypedError(e.to_string())),
+    }
+}
+
 /// Run every oracle against `scn`.
 pub fn check(scn: &Scenario, opts: &OracleOpts) -> Verdict {
     if opts.inject == Some(InjectBreak::Faults) && !scn.fail.is_empty() {
@@ -165,7 +179,7 @@ pub fn check(scn: &Scenario, opts: &OracleOpts) -> Verdict {
     }
 
     let result = match first {
-        Err(e) => return Ok(Outcome::TypedError(e.to_string())),
+        Err(e) => return typed_termination(e),
         Ok(r) => r,
     };
 
@@ -293,6 +307,17 @@ mod tests {
         match check(&s, &OracleOpts::default()) {
             Ok(Outcome::TypedError(e)) => assert!(e.contains("unknown LB strategy"), "{e}"),
             other => panic!("expected TypedError, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn protocol_error_fails_the_verdict() {
+        let deadlock = RuntimeError::Protocol("deadlock: event queue empty".into());
+        let err = typed_termination(deadlock).unwrap_err();
+        assert_eq!(err.kind, FailureKind::Protocol);
+        assert!(err.detail.contains("deadlock"), "{}", err.detail);
+        for ok in [RuntimeError::AllPesDead, RuntimeError::InvalidConfig("x".into())] {
+            assert!(matches!(typed_termination(ok), Ok(Outcome::TypedError(_))));
         }
     }
 

@@ -115,6 +115,7 @@ impl SwarmReport {
 pub fn kind_name(kind: FailureKind) -> &'static str {
     match kind {
         FailureKind::Panic => "panic",
+        FailureKind::Protocol => "protocol",
         FailureKind::Nondeterminism => "nondeterminism",
         FailureKind::Incomplete => "incomplete",
         FailureKind::Conservation => "conservation",
