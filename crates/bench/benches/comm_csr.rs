@@ -5,32 +5,14 @@
 //! `Vec` and re-derives `message_bytes` per edge, per iteration; the
 //! executor now pre-flattens the (static) graph into a [`CommCsr`] once
 //! and walks an indexed row slice. This bench measures both on the
-//! Mol3D communication graph (the densest of the apps) and records the
-//! per-sweep times to `BENCH_comm_csr.json`.
+//! Mol3D communication graph (the densest of the apps), prints the
+//! per-sweep times, and asserts that both walks cover the same bytes.
 
 use cloudlb_apps::Mol3D;
-use cloudlb_bench::baseline;
 use cloudlb_runtime::program::IterativeApp;
 use cloudlb_runtime::CommCsr;
-use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use std::time::Instant;
-
-/// Per-variant timing for one full walk over every edge of the graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CsrRecord {
-    /// Chare count of the measured graph.
-    chares: usize,
-    /// Directed edge count of the measured graph.
-    edges: usize,
-    /// Median µs for one full-graph walk via the trait (`neighbors()` +
-    /// `message_bytes()` per edge, allocating).
-    trait_walk_us: f64,
-    /// Median µs for one full-graph walk via the CSR rows.
-    csr_walk_us: f64,
-    /// `trait_walk_us / csr_walk_us`.
-    speedup: f64,
-}
 
 /// Median per-call time in µs over `samples` batches of `iters` calls.
 fn median_us(samples: usize, iters: usize, mut f: impl FnMut()) -> f64 {
@@ -91,15 +73,5 @@ fn main() {
     println!("trait walk {trait_walk_us:>10.2} µs/graph");
     println!("csr walk   {csr_walk_us:>10.2} µs/graph");
     println!("speedup    {speedup:>10.2}x");
-
-    let record = CsrRecord {
-        chares: n,
-        edges: csr.num_edges(),
-        trait_walk_us,
-        csr_walk_us,
-        speedup,
-    };
-    let path = baseline::write_json("comm_csr", &record);
-    println!("wrote {}", path.display());
     println!("MICRO OK");
 }

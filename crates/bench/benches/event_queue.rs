@@ -12,11 +12,10 @@
 //! * `cancel_churn` — schedule + cancel + reschedule rounds, the wake
 //!   token pattern from `sim_exec`.
 //!
-//! Results (ops/sec per workload plus the slab/HashMap speedup) are
-//! serialized to `BENCH_event_queue.json`.
+//! It prints ops/sec per workload plus the slab/HashMap speedup, and
+//! asserts that both queues visit identical events.
 
 use cloudlb_sim::{EventQueue, Time};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Faithful copy of the pre-slab queue: payloads in a `HashMap` keyed by
@@ -66,19 +65,6 @@ mod hashmap_queue {
             None
         }
     }
-}
-
-/// Throughput record serialized to `BENCH_event_queue.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct MicroRecord {
-    name: String,
-    rounds: usize,
-    slab_schedule_pop_ops_per_sec: f64,
-    hashmap_schedule_pop_ops_per_sec: f64,
-    schedule_pop_speedup: f64,
-    slab_cancel_churn_ops_per_sec: f64,
-    hashmap_cancel_churn_ops_per_sec: f64,
-    cancel_churn_speedup: f64,
 }
 
 /// Deterministic pseudo-random delay stream (xorshift) — identical for
@@ -201,34 +187,22 @@ fn main() {
     let (hash_cc, c4) = measure(|| hashmap_cancel_churn(rounds, &ds));
     assert_eq!(c3, c4, "cancel-churn workloads must visit identical events");
 
-    let record = MicroRecord {
-        name: "event_queue".into(),
-        rounds,
-        slab_schedule_pop_ops_per_sec: slab_sp,
-        hashmap_schedule_pop_ops_per_sec: hash_sp,
-        schedule_pop_speedup: slab_sp / hash_sp,
-        slab_cancel_churn_ops_per_sec: slab_cc,
-        hashmap_cancel_churn_ops_per_sec: hash_cc,
-        cancel_churn_speedup: slab_cc / hash_cc,
-    };
+    let schedule_pop_speedup = slab_sp / hash_sp;
     println!(
         "schedule/pop: slab {:.2} Mops/s vs hashmap {:.2} Mops/s ({:.2}x)",
         slab_sp / 1e6,
         hash_sp / 1e6,
-        record.schedule_pop_speedup
+        schedule_pop_speedup
     );
     println!(
         "cancel churn: slab {:.2} Mops/s vs hashmap {:.2} Mops/s ({:.2}x)",
         slab_cc / 1e6,
         hash_cc / 1e6,
-        record.cancel_churn_speedup
+        slab_cc / hash_cc
     );
-    let path = cloudlb_bench::baseline::write_json("event_queue", &record);
-    println!("wrote {}", path.display());
-    if record.schedule_pop_speedup < 1.2 {
+    if schedule_pop_speedup < 1.2 {
         eprintln!(
-            "WARNING: slab schedule/pop speedup {:.2}x is below the 1.2x target",
-            record.schedule_pop_speedup
+            "WARNING: slab schedule/pop speedup {schedule_pop_speedup:.2}x is below the 1.2x target"
         );
     }
     println!("MICRO OK");

@@ -10,13 +10,11 @@
 //! * `CLOUDLB_SEEDS=a,b,c` — override the seed list;
 //! * `CLOUDLB_JOBS=n` — worker count for the parallel sweep engine
 //!   (default: all available cores);
-//! * `CLOUDLB_BENCH_DIR=dir` — where perf benches write their
-//!   `BENCH_<name>.json` baselines (default: current directory);
-//! * `CLOUDLB_CHECK=path` — compare the fresh run against a checked-in
-//!   baseline and exit non-zero on a > 25 % events/sec regression.
-
-pub mod baseline;
-pub mod sweeps;
+//! * `CLOUDLB_SCALE_BUDGET_S=s` — wall-clock budget for the `scale`
+//!   bench's flat arm (unset = no budget).
+//!
+//! Engine speed is measured by `perfbench/`, not here: these benches
+//! print figures and exit non-zero only on a broken correctness check.
 
 /// Benchmark-wide settings resolved from the environment.
 #[derive(Debug, Clone)]
@@ -27,8 +25,6 @@ pub struct Settings {
     pub iterations: usize,
     /// Seeds to average (the paper averages three runs).
     pub seeds: Vec<u64>,
-    /// Worker count for the parallel sweep engine.
-    pub jobs: usize,
     /// Whether `CLOUDLB_FAST` shrank the matrix.
     pub fast: bool,
 }
@@ -50,7 +46,6 @@ impl Settings {
             cores: if fast { vec![4, 8] } else { vec![4, 8, 16, 32] },
             iterations: if fast { 60 } else { 100 },
             seeds,
-            jobs: cloudlb_core::default_jobs(),
             fast,
         }
     }
@@ -74,7 +69,6 @@ mod tests {
             assert_eq!(s.seeds.len(), 3);
             assert_eq!(s.iterations, 100);
             assert!(!s.fast);
-            assert!(s.jobs >= 1);
         }
     }
 }

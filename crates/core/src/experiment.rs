@@ -342,8 +342,7 @@ pub struct EvalPoint {
     /// Mean LB steps per LB run.
     pub lb_steps: f64,
     /// Simulator events processed across every run of the cell (base,
-    /// noLB and LB arms, all seeds) — the numerator of the bench
-    /// harness's events/sec figure. Includes the pops the fast-forward
+    /// noLB and LB arms, all seeds). Includes the pops the fast-forward
     /// engine skipped, so the figure is mode-independent.
     pub sim_events: u64,
     /// Largest pending-event backlog any run of the cell reached.

@@ -94,8 +94,7 @@ pub struct RunResult {
     pub net: NetStats,
     /// Simulator events processed over the run: event-queue pops plus the
     /// pops the fast-forward engine skipped analytically — so the figure is
-    /// bit-identical whether or not windows were macro-stepped. The
-    /// denominator-free half of the bench harness's events/sec figure.
+    /// bit-identical whether or not windows were macro-stepped.
     pub sim_events: u64,
     /// High-water mark of pending events in the simulator's queue.
     pub peak_queue_depth: usize,

@@ -55,7 +55,7 @@ pub struct EventQueue<E> {
     now: Time,
     /// Live (scheduled, not yet popped or cancelled) events.
     live: usize,
-    /// Lifetime counters for perf baselines.
+    /// Lifetime counters behind `total_scheduled` / `total_popped`.
     scheduled: u64,
     popped: u64,
     peak_live: usize,

@@ -106,3 +106,32 @@ fn background_job_also_benefits_for_fair_shared_apps() {
         );
     }
 }
+
+/// Records where flat CloudRefine goes inert on the paper preset
+/// (ROADMAP item 7): a core is light only if its slack exceeds
+/// `ε = 0.05 · T_avg`, and the 2-core interferer's slack per clean core
+/// falls below that near 40 cores. At 40 cores Jacobi2D still migrates;
+/// at 48 flat CloudRefine commits nothing, while `hiercloudrefine` keeps
+/// migrating and beats it on penalty. This pins today's behaviour so a
+/// change to the light-core test shows up here; it is not a target.
+#[test]
+fn flat_cloudrefine_goes_inert_between_40_and_48_cores() {
+    let run = |cores: usize, strategy: &str| {
+        let mut scn = Scenario::paper("jacobi2d", cores, strategy);
+        scn.iterations = 30;
+        scn.seed = 1;
+        let base = try_run_scenario(&scn.base_of()).expect("base run");
+        let r = try_run_scenario(&scn).expect("interfered run");
+        (r.migrations, r.timing_penalty_vs(&base))
+    };
+    let (flat40, _) = run(40, "cloudrefine");
+    assert!(flat40 > 0, "flat CloudRefine should still migrate at 40 cores");
+    let (flat48, flat48_penalty) = run(48, "cloudrefine");
+    assert_eq!(flat48, 0, "flat CloudRefine should be inert at 48 cores");
+    let (hier48, hier48_penalty) = run(48, "hiercloudrefine");
+    assert!(hier48 > 0, "hiercloudrefine should still migrate at 48 cores");
+    assert!(
+        hier48_penalty < flat48_penalty,
+        "hiercloudrefine penalty {hier48_penalty:.3} !< flat {flat48_penalty:.3} at 48 cores"
+    );
+}

@@ -7,7 +7,8 @@
 //! both arms × the three CI seeds, so interference, dirty telemetry,
 //! network chaos, and a permanent core kill are all exercised.
 //!
-//! Two property tests pin the engine's conservatism: a clean run
+//! Every `clean/*` row must also complete and fast-forward at least one
+//! window. Two property tests pin the engine's conservatism: a clean run
 //! actually coalesces almost every LB window, and a mid-run disturbance
 //! forces the fallback for exactly as long as the disturbance is
 //! pending, with replay resuming once it drains.
@@ -80,9 +81,16 @@ fn fast_forward_is_bit_identical_across_every_preset() {
     let mut replayed_anywhere = false;
     for (label, _) in &matrix {
         let (on_res, off_res) = (results.next().unwrap(), results.next().unwrap());
+        // Nothing disturbs a clean row, so the fast path must engage on
+        // every one of them, not merely somewhere in the matrix.
+        let clean = label.starts_with("clean/");
         match (on_res, off_res) {
             (Ok(on), Ok(off)) => {
                 replayed_anywhere |= on.ff_windows > 0;
+                assert!(
+                    !clean || on.ff_windows > 0,
+                    "the clean row {label} never fast-forwarded"
+                );
                 assert_eq!(
                     off.ff_windows, 0,
                     "the off arm must never macro-step ({label})"
@@ -95,7 +103,10 @@ fn fast_forward_is_bit_identical_across_every_preset() {
             }
             // A scenario that cannot complete must fail identically in
             // both modes (same error, not just "both failed").
-            (Err(on), Err(off)) => assert_eq!(on, off, "error diverged for {label}"),
+            (Err(on), Err(off)) => {
+                assert!(!clean, "the clean row {label} failed: {on}");
+                assert_eq!(on, off, "error diverged for {label}");
+            }
             (on, off) => panic!(
                 "one arm failed and the other did not for {label}: on={on:?} off={off:?}"
             ),

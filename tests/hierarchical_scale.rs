@@ -95,7 +95,7 @@ fn modest_scale_run_is_deterministic_and_conserving() {
     }
 }
 
-/// The full 32k-core / 1M-chare configuration from `BENCH_scale.json`:
+/// The full 32k-core / 1M-chare configuration of the `scale` bench:
 /// conservation and bit-identical reruns at the headline scale. Takes
 /// minutes even in release, so it only runs when asked for explicitly.
 #[test]
